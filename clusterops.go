@@ -15,10 +15,10 @@ import (
 // consistent-hash range hand-offs (worker joins, graceful leaves, and
 // dead-worker recovery from checkpoint + WAL tail).
 //
-// Only uniform non-dynamic workloads (System) support the graft
-// operations: partitioned workloads interleave per-segment windows and
-// dynamic systems carry migration state a group slice cannot represent.
-// Quiesce is supported by every system kind.
+// Only a uniform workload on the static online engine supports the graft
+// operations: segments interleave per-segment windows and the dynamic
+// runtime carries migration state a group slice cannot represent.
+// Quiesce is supported by every configuration.
 
 // SliceGroups cuts the groups selected by keep out of a snapshot into a
 // new engine-kind snapshot (the "group slice"). The slice preserves the
@@ -39,15 +39,15 @@ func SliceGroups(snap *StateSnapshot, keep func(GroupKey) bool) (*StateSnapshot,
 // flight); a fresh system adopts the slice's position. Group keys must
 // be disjoint from the system's own.
 func (s *System) AbsorbGroups(slice *StateSnapshot) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
+	defer runtime.KeepAlive(s) // see System
 	if slice.Kind != exec.KindEngine || slice.Engine == nil {
 		return fmt.Errorf("sharon: AbsorbGroups wants an engine-kind group slice, got %q", slice.Kind)
 	}
-	switch ex := s.executor.(type) {
-	case *exec.Engine:
-		return ex.AbsorbSlice(slice.Engine)
-	case *exec.Parallel:
-		return ex.AbsorbSlice(slice.Engine)
+	ab, ok := s.executor.(interface {
+		AbsorbSlice(*exec.EngineSnapshot) error
+	})
+	if ok && s.dyn == nil && s.segments == 1 {
+		return ab.AbsorbSlice(slice.Engine)
 	}
 	return fmt.Errorf("sharon: %s executor cannot absorb group slices", s.executor.Name())
 }
@@ -57,12 +57,14 @@ func (s *System) AbsorbGroups(slice *StateSnapshot) error {
 // stop routing those keys' events to this system first: a removed key's
 // next event would rebuild the group from empty state.
 func (s *System) RemoveGroups(drop func(GroupKey) bool) (int, error) {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
+	defer runtime.KeepAlive(s) // see System
 	switch ex := s.executor.(type) {
 	case *exec.Engine:
 		return ex.RemoveGroups(drop), nil
 	case *exec.Parallel:
-		return ex.RemoveGroups(drop)
+		if s.dyn == nil && s.segments == 1 {
+			return ex.RemoveGroups(drop)
+		}
 	}
 	return 0, fmt.Errorf("sharon: %s executor cannot remove groups", s.executor.Name())
 }
@@ -72,40 +74,17 @@ func (s *System) RemoveGroups(drop func(GroupKey) bool) (int, error) {
 // executors emit synchronously, so only the parallel path has anything
 // to wait for.
 func (s *System) Quiesce() error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return quiesceExecutor(s.executor)
-}
-
-// Quiesce is System.Quiesce for a partitioned workload.
-func (s *PartitionedSystem) Quiesce() error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return quiesceExecutor(s.executor)
-}
-
-// Quiesce is System.Quiesce for a dynamic workload.
-func (s *DynamicSystem) Quiesce() error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return quiesceExecutor(s.executor)
-}
-
-func quiesceExecutor(ex exec.Executor) error {
-	if p, ok := ex.(*exec.Parallel); ok {
+	defer runtime.KeepAlive(s) // see System
+	if p, ok := s.executor.(*exec.Parallel); ok {
 		return p.Quiesce()
 	}
 	return nil
 }
 
-// GroupCount reports the number of live per-group runtimes.
-func (s *System) GroupCount() int64 { return groupCountOf(s.executor) }
-
-// GroupCount reports the live per-group runtimes summed over segments.
-func (s *PartitionedSystem) GroupCount() int64 { return groupCountOf(s.executor) }
-
-// GroupCount reports the current engine's live per-group runtimes.
-func (s *DynamicSystem) GroupCount() int64 { return groupCountOf(s.executor) }
-
-func groupCountOf(ex exec.Executor) int64 {
-	if gc, ok := ex.(interface{ GroupCount() int64 }); ok {
+// GroupCount reports the number of live per-group runtimes, summed over
+// segments.
+func (s *System) GroupCount() int64 {
+	if gc, ok := s.executor.(interface{ GroupCount() int64 }); ok {
 		return gc.GroupCount()
 	}
 	return 0

@@ -72,8 +72,8 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		queriesFile = flag.String("queries-file", "", "file with one query per line (# comments); overrides -query")
 		parallelism = flag.Int("parallelism", 1, "engine shard workers (1 = sequential)")
-		dynamic     = flag.Bool("dynamic", false, "back the engine with a DynamicSystem (re-optimize on rate drift)")
-		adaptive    = flag.Bool("adaptive", false, "burst-adaptive sharing: share bursts, split valleys (implies -dynamic)")
+		dynamic     = flag.Bool("dynamic", false, "run the dynamic runtime: re-optimize on rate drift (needs a uniform workload; start-up fails otherwise)")
+		adaptive    = flag.Bool("adaptive", false, "burst-adaptive sharing: share bursts, split valleys (implies -dynamic, so needs a uniform workload)")
 		emitEmpty   = flag.Bool("emit-empty", false, "also push zero results for windows without matches")
 		maxBatch    = flag.Int64("max-batch-bytes", 8<<20, "ingest request body limit")
 		queue       = flag.Int("queue", 256, "ingest queue bound in batches (full queue = 429)")

@@ -2,9 +2,7 @@ package sharon
 
 import (
 	"fmt"
-	"runtime"
 
-	"github.com/sharon-project/sharon/internal/core"
 	"github.com/sharon-project/sharon/internal/exec"
 )
 
@@ -22,12 +20,10 @@ const (
 	Burst  = exec.Burst
 )
 
-// DynamicOptions configures NewDynamicSystem (paper §7.4).
+// DynamicOptions configures the dynamic runtime (paper §7.4) selected by
+// Options.Dynamic. Rates, OnResult, EmitEmpty and Parallelism come from
+// Options.
 type DynamicOptions struct {
-	// OnResult receives every aggregate as it is emitted; nil collects.
-	OnResult func(Result)
-	// EmitEmpty also emits zero results for windows without matches.
-	EmitEmpty bool
 	// CheckEvery is the interval in ticks between rate-drift checks
 	// (default: one window slide).
 	CheckEvery int64
@@ -38,15 +34,8 @@ type DynamicOptions struct {
 	// migrates independently; invocations are serialized but may arrive
 	// from different shards at different stream times.
 	OnMigrate func(at int64, old, new Plan)
-	// Parallelism selects the number of shard workers, as in
-	// Options.Parallelism: events are hash-partitioned by group key and
-	// each shard runs its own rate monitor and migration protocol
-	// (results are plan-invariant, so this does not affect output).
-	// 0 = auto (GOMAXPROCS for grouped workloads, sequential otherwise),
-	// 1 = always sequential.
-	Parallelism int
 
-	// Adaptive switches the system from drift-triggered re-optimization
+	// Adaptive switches the runtime from drift-triggered re-optimization
 	// to per-burst share-vs-split decisions: a burst detector classifies
 	// the arrival rate each check interval, confirmed bursts install the
 	// shared plan, and confirmed valleys split back to per-query
@@ -62,230 +51,77 @@ type DynamicOptions struct {
 	OnDecision func(at int64, state BurstState, plan Plan)
 }
 
-// DynamicSystem evaluates a workload while monitoring event rates at
-// runtime: when rates drift, it re-runs the Sharon optimizer and migrates
-// to the new sharing plan without losing or corrupting window results
-// (paper §7.4). Window results are identical to a static execution.
-type DynamicSystem struct {
-	executor exec.Executor
-	shards   []*exec.Dynamic // parallel path: one Dynamic per shard
-	seq      *exec.Dynamic   // sequential path
-	// initialPlan is the construction-time plan, served by Plan() on the
-	// parallel path until the shards become readable at Flush.
-	initialPlan Plan
-	collect     bool
-}
-
-// NewDynamicSystem builds a dynamic system with an initial plan optimized
-// for the supplied rates (use MeasureRates on a warm-up sample).
-func NewDynamicSystem(w Workload, rates Rates, opts DynamicOptions) (*DynamicSystem, error) {
-	if len(w) == 0 {
-		return nil, fmt.Errorf("sharon: empty workload")
-	}
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("sharon: %w", err)
-	}
-	collect := opts.OnResult == nil
+// buildDynamic builds the dynamic runtime with an initial plan optimized
+// for Options.Rates (use MeasureRates on a warm-up sample): when rates
+// drift it re-runs the Sharon optimizer and migrates to the new plan
+// without losing or corrupting window results, so output is identical to
+// a static execution.
+func (s *System) buildDynamic(opts Options, execOpts exec.Options) error {
+	d := opts.Dynamic
 	cfg := exec.DynamicConfig{
-		Options: exec.Options{
-			OnResult: opts.OnResult,
-			Collect:  collect,
-		},
-		CheckEvery:     opts.CheckEvery,
-		DriftThreshold: opts.DriftThreshold,
-		Adaptive:       opts.Adaptive,
-		Burst:          opts.Burst,
+		Options:         execOpts,
+		CheckEvery:      d.CheckEvery,
+		DriftThreshold:  d.DriftThreshold,
+		OptimizerBudget: opts.OptimizerBudget,
+		OnMigrate:       d.OnMigrate,
+		Adaptive:        d.Adaptive,
+		Burst:           d.Burst,
+		OnDecision:      d.OnDecision,
 	}
-	cfg.EmitEmpty = opts.EmitEmpty
-	if opts.OnMigrate != nil {
-		cfg.OnMigrate = func(at int64, old, new core.Plan) { opts.OnMigrate(at, old, new) }
-	}
-	if opts.OnDecision != nil {
-		cfg.OnDecision = func(at int64, state exec.BurstState, plan core.Plan) { opts.OnDecision(at, state, plan) }
-	}
-	sys := &DynamicSystem{collect: collect}
+	w := s.workload
 	if workers := resolveParallelism(opts.Parallelism, w[0].GroupBy, opts.OnResult != nil); workers > 1 {
-		p, dyns, err := exec.NewParallelDynamic(w, rates, workers, cfg)
+		p, dyns, err := exec.NewParallelDynamic(w, opts.Rates, workers, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("sharon: %w", err)
+			return fmt.Errorf("sharon: %w", err)
 		}
-		sys.executor, sys.shards = p, dyns
 		// Safe: the workers have not been sent any message yet, so no
 		// goroutine touches shard state before this read.
-		sys.initialPlan = dyns[0].Plan()
-		reclaimOnDrop(sys, p)
-		return sys, nil
+		s.executor, s.dyn, s.plan = p, dyns, dyns[0].Plan()
+		return nil
 	}
-	d, err := exec.NewDynamic(w, rates, cfg)
+	seq, err := exec.NewDynamic(w, opts.Rates, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sharon: %w", err)
+		return fmt.Errorf("sharon: %w", err)
 	}
-	sys.executor, sys.seq = d, d
-	return sys, nil
+	s.executor, s.dyn, s.plan = seq, []*exec.Dynamic{seq}, seq.Plan()
+	return nil
 }
 
-// Process feeds the next event (strictly time-ordered).
-func (s *DynamicSystem) Process(e Event) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return s.executor.Process(e)
-}
-
-// FeedBatch feeds a batch of strictly time-ordered events.
-func (s *DynamicSystem) FeedBatch(events []Event) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return feedBatch(s.executor, events)
-}
-
-// ProcessAll replays a stream and flushes. On a feed error the run is
-// stopped without emitting partial windows.
-func (s *DynamicSystem) ProcessAll(stream Stream) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	if err := s.FeedBatch(stream); err != nil {
-		stopParallel(s.executor)
-		return err
+// dynamics returns the dynamic runtime's executors when they may be
+// inspected: always sequentially, only after Flush/Close on the parallel
+// path (worker goroutines own the shards while the run is live). Nil
+// without Options.Dynamic.
+func (s *System) dynamics() []*exec.Dynamic {
+	if p, ok := s.executor.(*exec.Parallel); ok && !p.Flushed() {
+		return nil
 	}
-	return s.Flush()
+	return s.dyn
 }
 
-// Flush closes all remaining windows.
-func (s *DynamicSystem) Flush() error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return s.executor.Flush()
-}
-
-// AdvanceWatermark closes every window ending at or before t on the
-// active engines and emits its results without consuming an event; see
-// System.AdvanceWatermark for the full contract. Rate accounting is
-// untouched: drift is measured over observed events only.
-func (s *DynamicSystem) AdvanceWatermark(t int64) {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	advanceWatermark(s.executor, t)
-}
-
-// Close releases the executor without emitting the windows still open;
-// see System.Close. Idempotent, and safe after Flush.
-func (s *DynamicSystem) Close() {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	stopParallel(s.executor)
-}
-
-// Results returns collected results, sorted by query, window, group.
-// When an OnResult sink is attached the system does not retain results
-// and Results always returns nil (see System.Results).
-func (s *DynamicSystem) Results() []Result { return collectedResults(s.executor, s.collect) }
-
-// ResultCount reports the number of aggregates emitted so far.
-func (s *DynamicSystem) ResultCount() int64 { return s.executor.ResultCount() }
-
-// PeakMemoryStates reports the executor's peak number of live aggregate
-// states. On the parallel path the shards' peaks are summed at Flush
-// time (0 before).
-func (s *DynamicSystem) PeakMemoryStates() int64 { return s.executor.PeakLiveStates() }
-
-// shardsReadable reports whether the shard Dynamics may be inspected:
-// always sequentially, only after Flush/Stop on the parallel path
-// (worker goroutines own the shards while the run is live).
-func (s *DynamicSystem) shardsReadable() bool {
-	if s.seq != nil {
-		return true
-	}
-	p, ok := s.executor.(*exec.Parallel)
-	return ok && p.Flushed()
-}
-
-// Plan returns the currently installed sharing plan. On the parallel
-// path shards migrate independently; Plan reports the initial plan
-// while the run is live and shard 0's final plan after Flush.
-func (s *DynamicSystem) Plan() Plan {
-	if s.seq != nil {
-		return s.seq.Plan()
-	}
-	if !s.shardsReadable() {
-		return s.initialPlan
-	}
-	return s.shards[0].Plan()
-}
-
-// Migrations reports how many plan changes were installed, summed
-// across shards on the parallel path, where the count is available only
-// after Flush (0 before).
-func (s *DynamicSystem) Migrations() int {
-	if s.seq != nil {
-		return s.seq.Migrations
-	}
-	if !s.shardsReadable() {
-		return 0
-	}
+// Migrations reports how many plan changes the dynamic runtime installed,
+// summed across shards on the parallel path, where the count is
+// available only after Flush (0 before). Always 0 without
+// Options.Dynamic.
+func (s *System) Migrations() int {
 	n := 0
-	for _, d := range s.shards {
+	for _, d := range s.dynamics() {
 		n += d.Migrations
 	}
 	return n
 }
 
-// ParallelStats reports the parallel executor's counters; the zero value
-// when the system runs sequentially.
-func (s *DynamicSystem) ParallelStats() ParallelStats { return parallelStats(s.executor) }
-
-// BurstState reports the adaptive detector's current debounced state
-// (Valley when not adaptive). On the parallel path shards detect
-// independently; BurstState reports Valley while the run is live and
-// shard 0's final state after Flush — observe OnDecision for live
-// transitions.
-func (s *DynamicSystem) BurstState() BurstState {
-	if s.seq != nil {
-		return s.seq.BurstState()
-	}
-	if !s.shardsReadable() {
-		return Valley
-	}
-	return s.shards[0].BurstState()
-}
-
-// ShareTransitions and SplitTransitions count the adaptive mode's
-// confirmed burst→shared and valley→split plan installs, summed across
-// shards on the parallel path (available only after Flush there, like
-// Migrations).
-func (s *DynamicSystem) ShareTransitions() int {
-	return s.sumShards(func(d *exec.Dynamic) int { return d.ShareTransitions })
-}
-
-// SplitTransitions counts confirmed valley→split plan installs; see
-// ShareTransitions.
-func (s *DynamicSystem) SplitTransitions() int {
-	return s.sumShards(func(d *exec.Dynamic) int { return d.SplitTransitions })
-}
-
 // PrunedStarts reports the state reduction's dead-record prune count —
 // START records recycled at birth because no open window could still
-// observe them — cumulative across plan migrations, summed across
-// shards on the parallel path (0 there until Flush).
-func (s *DynamicSystem) PrunedStarts() int64 {
-	if s.seq != nil {
-		return s.seq.PrunedStarts()
-	}
-	if !s.shardsReadable() {
-		return 0
+// observe them. It covers the sequential engine, and the dynamic runtime
+// cumulatively across plan migrations (summed across shards on the
+// parallel path, 0 there until Flush); 0 for other executors.
+func (s *System) PrunedStarts() int64 {
+	if en, ok := s.executor.(*exec.Engine); ok {
+		return en.PrunedStarts()
 	}
 	var n int64
-	for _, d := range s.shards {
+	for _, d := range s.dynamics() {
 		n += d.PrunedStarts()
-	}
-	return n
-}
-
-// sumShards folds a per-Dynamic counter across the live executors,
-// honoring the parallel path's readability rules.
-func (s *DynamicSystem) sumShards(f func(*exec.Dynamic) int) int {
-	if s.seq != nil {
-		return f(s.seq)
-	}
-	if !s.shardsReadable() {
-		return 0
-	}
-	n := 0
-	for _, d := range s.shards {
-		n += f(d)
 	}
 	return n
 }

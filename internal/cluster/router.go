@@ -333,14 +333,11 @@ func New(cfg Config) (*Router, error) {
 	if err := r.workload.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	first := r.workload[0]
-	if !first.GroupBy {
+	if !r.workload[0].GroupBy {
 		return nil, fmt.Errorf("cluster: the workload is ungrouped; a single aggregate over all keys cannot be hash-partitioned across workers")
 	}
-	for _, q := range r.workload[1:] {
-		if q.Window != first.Window || q.GroupBy != first.GroupBy {
-			return nil, fmt.Errorf("cluster: non-uniform workload; the cluster tier requires one uniform segment (same window, grouping, predicates)")
-		}
+	if !r.workload.Uniform() {
+		return nil, fmt.Errorf("cluster: non-uniform workload; the cluster tier requires one uniform segment (same window, grouping, predicates)")
 	}
 	rates := sharon.Rates{}
 	for t := range r.workload.Types() {

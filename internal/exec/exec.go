@@ -150,8 +150,9 @@ func (rs *resultSink) ResultCount() int64 { return rs.count }
 
 // validateUniform checks the paper's core assumptions (§2.1): every query
 // in the workload has the same window, the same grouping mode, and the
-// same predicates. The §7.2 extension (partitioning by segment) is out of
-// scope for the executors, which evaluate one uniform segment.
+// same predicates, in any order (query.SameSegment). The §7.2 extension
+// (partitioning by segment) is out of scope for the executors, which
+// evaluate one uniform segment.
 func validateUniform(w query.Workload) error {
 	if len(w) == 0 {
 		return fmt.Errorf("exec: empty workload")
@@ -168,23 +169,11 @@ func validateUniform(w query.Workload) error {
 		if q.GroupBy != first.GroupBy {
 			return fmt.Errorf("exec: query %s grouping differs from %s", q.Label(), first.Label())
 		}
-		if !samePredicates(q.Where, first.Where) {
+		if !query.SameSegment(q, first) {
 			return fmt.Errorf("exec: query %s predicates differ from %s", q.Label(), first.Label())
 		}
 	}
 	return nil
-}
-
-func samePredicates(a, b []query.Predicate) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // accepts applies the workload's (uniform) predicates.

@@ -112,9 +112,9 @@ type Parallel struct {
 	last     int64
 	pendingN int
 	closed   bool
-	// stopOnce makes teardown race-safe: the GC-backstop cleanup of an
-	// abandoned run (sharon.reclaimOnDrop) may call Stop from the
-	// cleanup goroutine while a last in-flight Flush tears down too.
+	// stopOnce makes teardown race-safe: the GC-backstop cleanup that
+	// sharon.NewSystem registers for an abandoned run may call Stop from
+	// the cleanup goroutine while a last in-flight Flush tears down too.
 	stopOnce sync.Once
 
 	out       chan shardOut

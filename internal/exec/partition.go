@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"github.com/sharon-project/sharon/internal/core"
 	"github.com/sharon-project/sharon/internal/event"
@@ -47,41 +45,20 @@ type partSegment struct {
 	engine *Engine
 }
 
-// signature canonicalizes the uniformity-relevant clauses of a query.
-func signature(q *query.Query) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "w=%d/%d g=%v", q.Window.Length, q.Window.Slide, q.GroupBy)
-	preds := append([]query.Predicate(nil), q.Where...)
-	sort.Slice(preds, func(i, j int) bool {
-		if preds[i].Type != preds[j].Type {
-			return preds[i].Type < preds[j].Type
-		}
-		if preds[i].Op != preds[j].Op {
-			return preds[i].Op < preds[j].Op
-		}
-		return preds[i].Value < preds[j].Value
-	})
-	for _, p := range preds {
-		fmt.Fprintf(&b, " %d%v%g", p.Type, p.Op, p.Value)
-	}
-	return b.String()
-}
-
 // PartitionWorkload splits a workload into maximal uniform segments,
 // preserving query order within each segment. Segments are ordered by
 // first appearance.
 func PartitionWorkload(w query.Workload) []query.Workload {
-	index := make(map[string]int)
 	var out []query.Workload
+next:
 	for _, q := range w {
-		sig := signature(q)
-		i, ok := index[sig]
-		if !ok {
-			i = len(out)
-			index[sig] = i
-			out = append(out, nil)
+		for i, seg := range out {
+			if query.SameSegment(seg[0], q) {
+				out[i] = append(seg, q)
+				continue next
+			}
 		}
-		out[i] = append(out[i], q)
+		out = append(out, query.Workload{q})
 	}
 	return out
 }

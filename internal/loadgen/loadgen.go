@@ -189,7 +189,8 @@ func (c *Config) streamTick(i int) int64 {
 // Report is the outcome of one load run.
 type Report struct {
 	// Events/Batches are the accepted totals; Rejected429 counts
-	// backpressure refusals (each retried until accepted).
+	// backpressure refusals of batches and of the final watermark (each
+	// retried until accepted).
 	Events      int64 `json:"events"`
 	Batches     int64 `json:"batches"`
 	Rejected429 int64 `json:"rejected_429"`
@@ -795,14 +796,22 @@ func Run(cfg Config) (Report, error) {
 			sentAt[nextEnd] = time.Now()
 			nextEnd += cfg.Slide
 		}
-		wm, err := http.Post(cfg.BaseURL+"/watermark", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"watermark":%d}`, finalWM)))
-		if err != nil {
-			return rep, err
-		}
-		wm.Body.Close()
-		if wm.StatusCode != http.StatusAccepted {
-			return rep, fmt.Errorf("watermark: status %d", wm.StatusCode)
+		// A full ingest queue refuses the watermark like a batch: retry.
+		for {
+			wm, err := http.Post(cfg.BaseURL+"/watermark", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"watermark":%d}`, finalWM)))
+			if err != nil {
+				return rep, err
+			}
+			wm.Body.Close()
+			if wm.StatusCode == http.StatusAccepted {
+				break
+			}
+			if wm.StatusCode != http.StatusTooManyRequests {
+				return rep, fmt.Errorf("watermark: status %d", wm.StatusCode)
+			}
+			rep.Rejected429++
+			time.Sleep(20 * time.Millisecond)
 		}
 	}
 

@@ -7,7 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,6 +139,38 @@ func TestLoopbackObservability(t *testing.T) {
 	}
 	if p99*1e3 > rep.LatencyMaxMs*1.2 {
 		t.Fatalf("exposition emit p99 %.3fms exceeds client max %.3fms", p99*1e3, rep.LatencyMaxMs)
+	}
+}
+
+// TestWatermarkBackpressureRetried: a 429 on the closing watermark is
+// backpressure, not a failure — the run retries it, counts it, and
+// still receives the windows the watermark closes.
+func TestWatermarkBackpressureRetried(t *testing.T) {
+	_, ts := startServer(t)
+	target, err := url.Parse(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := httputil.NewSingleHostReverseProxy(target)
+	backend.FlushInterval = -1 // subscription streams pass through live
+	var refused atomic.Bool
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/watermark" && refused.CompareAndSwap(false, true) {
+			http.Error(w, "ingest queue full", http.StatusTooManyRequests)
+			return
+		}
+		backend.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	rep, err := loadgen.Run(loadgen.Config{BaseURL: front.URL, Events: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !refused.Load() || rep.Rejected429 == 0 {
+		t.Fatalf("watermark 429 not seen or not counted: refused=%v rejected_429=%d", refused.Load(), rep.Rejected429)
+	}
+	if rep.Results == 0 || rep.Windows == 0 {
+		t.Fatalf("no results/windows after the retried watermark: %+v", rep)
 	}
 }
 

@@ -4,7 +4,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/sharon-project/sharon/internal/event"
@@ -357,6 +359,36 @@ func (w Workload) Validate() error {
 		seen[q.ID] = true
 	}
 	return nil
+}
+
+// SameSegment reports whether two queries can be evaluated by one shared
+// engine: the same window, the same grouping, and the same predicate
+// conjunction, listed in any order (the paper's §2.1 assumptions). The
+// §7.2 segments of a workload are the classes of this relation.
+func SameSegment(a, b *Query) bool {
+	if a.Window != b.Window || a.GroupBy != b.GroupBy || len(a.Where) != len(b.Where) {
+		return false
+	}
+	return slices.Equal(sortedPredicates(a.Where), sortedPredicates(b.Where))
+}
+
+func sortedPredicates(ps []Predicate) []Predicate {
+	out := slices.Clone(ps)
+	slices.SortFunc(out, func(x, y Predicate) int {
+		return cmp.Or(cmp.Compare(x.Type, y.Type), cmp.Compare(x.Op, y.Op), cmp.Compare(x.Value, y.Value))
+	})
+	return out
+}
+
+// Uniform reports whether every query is in the first query's segment
+// (see SameSegment).
+func (w Workload) Uniform() bool {
+	for i := 1; i < len(w); i++ {
+		if !SameSegment(w[0], w[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Renumber assigns dense IDs 0..n-1 in workload order and default names.

@@ -109,8 +109,8 @@ func (s *Server) initDurability() error {
 		return fail(fmt.Errorf("server: rebuild from checkpoint: %w", err))
 	}
 	if ck.State != nil {
-		if err := cur.eng.Restore(ck.State); err != nil {
-			cur.eng.Close()
+		if err := cur.sys.Restore(ck.State); err != nil {
+			cur.sys.Close()
 			return fail(fmt.Errorf("server: restore engine state: %w", err))
 		}
 	}
@@ -200,6 +200,13 @@ func (s *Server) maybeCheckpoint() {
 	if s.wal == nil || time.Since(s.lastCkptTimer) < s.cfg.CheckpointEvery {
 		return
 	}
+	if s.cfg.checkpointGate != nil {
+		select {
+		case <-s.cfg.checkpointGate:
+		default:
+			return
+		}
+	}
 	s.checkpoint(false)
 }
 
@@ -218,7 +225,7 @@ func (s *Server) checkpoint(final bool) {
 		s.cfg.Logf("checkpoint: wal sync: %v", err)
 		return
 	}
-	snap, err := s.cur.eng.Snapshot()
+	snap, err := s.cur.sys.Snapshot()
 	if err != nil {
 		s.cfg.Logf("checkpoint: snapshot: %v", err)
 		return
@@ -244,7 +251,7 @@ func (s *Server) checkpoint(final bool) {
 		Dynamic:         s.cfg.Dynamic,
 		RegistryNames:   s.reg.Ordered(),
 		Queries:         entries,
-		Plan:            s.cur.plan,
+		Plan:            s.cur.sys.Plan(),
 		TypeCounts:      counts,
 		CountFrom:       s.countFrom,
 		Ring:            s.ring.Snapshot(),

@@ -100,8 +100,19 @@ func lastSeqOf(t *testing.T, frames []string) int64 {
 // byte-identical to an uninterrupted in-process run: no lost windows,
 // no duplicated windows, sequence numbers contiguous across the crash.
 func TestServerRestartEquivalence(t *testing.T) {
-	for _, par := range []int{1, 2} {
-		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		par   int
+		extra func(*Config)
+	}{
+		{"parallelism-1", 1, nil},
+		{"parallelism-2", 2, nil},
+		// The adaptive runtime checkpoints its plan, rate counters and
+		// detector; its output must still equal the static reference.
+		{"adaptive-parallelism-2", 2, func(c *Config) { c.Adaptive = true }},
+	} {
+		par := tc.par
+		t.Run(tc.name, func(t *testing.T) {
 			raw := randomRaw(4000, 42+int64(par))
 			cut := len(raw) / 2
 			finalWM := raw[len(raw)-1].Time + 4000
@@ -111,9 +122,23 @@ func TestServerRestartEquivalence(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			s1, ts1 := durableServer(t, dir, par, nil)
+			// One checkpoint lands mid-prefix and the rest are held back,
+			// so recovery restores it and replays a WAL tail behind it.
+			gate := make(chan struct{}, 1)
+			s1, ts1 := durableServer(t, dir, par, func(c *Config) {
+				c.checkpointGate = gate
+				if tc.extra != nil {
+					tc.extra(c)
+				}
+			})
 			sub1 := subscribeSSE(t, ts1.URL, "")
-			postBatches(t, ts1.URL, raw[:cut], 333)
+			postBatches(t, ts1.URL, raw[:cut/2], 333)
+			waitIngested(t, ts1, int64(cut/2))
+			time.Sleep(s1.cfg.CheckpointEvery)
+			gate <- struct{}{}
+			postBatches(t, ts1.URL, raw[cut/2:cut/2+333], 333)
+			waitFor(t, "mid-prefix checkpoint", func() bool { return s1.checkpoints.Load() == 1 })
+			postBatches(t, ts1.URL, raw[cut/2+333:cut], 333)
 			waitIngested(t, ts1, int64(cut))
 			waitQuiesce(t, sub1)
 			got1 := sub1.snapshot()
@@ -122,9 +147,8 @@ func TestServerRestartEquivalence(t *testing.T) {
 			// goroutine dies with the test; disk state is the contract.
 			sub1.cancel()
 			ts1.Close()
-			_ = s1
 
-			s2, ts2 := durableServer(t, dir, par, nil)
+			s2, ts2 := durableServer(t, dir, par, tc.extra)
 			defer ts2.Close()
 			waitFor(t, "recovery", func() bool {
 				code, _ := doReq(t, "GET", ts2.URL+"/healthz", "")

@@ -118,7 +118,7 @@ func (s *Server) editEntries(add []string, remove []int, assigned []int) ([]quer
 		// predicates) would reinterpret that index and emit windows that
 		// miss their pre-registration events. Enforce uniformity against
 		// the running system, not just within the new workload.
-		if !uniform(sharon.Workload{s.cur.entries[0].Q, q}) {
+		if !(sharon.Workload{s.cur.entries[0].Q, q}).Uniform() {
 			return nil, nil, ctlErrf(http.StatusBadRequest,
 				"query %q does not match the running workload's window/grouping/predicates (live registration requires a uniform workload)", text)
 		}
@@ -163,7 +163,7 @@ func (s *Server) buildNextWorkload(entries []queryEntry, rates sharon.Rates, pla
 	// watermark; before any event everything starts fresh at window 0.
 	boundary := int64(0)
 	if s.wmState >= 0 {
-		boundary = s.cur.win.LastContaining(s.wmState) + 1
+		boundary = s.cur.entries[0].Q.Window.LastContaining(s.wmState) + 1
 	}
 	next, err := s.buildSystem(entries, rates, plan, boundary)
 	if err != nil {
@@ -182,7 +182,7 @@ func (s *Server) buildNextWorkload(entries []queryEntry, rates sharon.Rates, pla
 func (s *Server) installWorkload(entries []queryEntry, boundary int64, next *builtSystem) {
 	if boundary == 0 {
 		// Nothing was ever fed: replace outright, nothing to drain.
-		s.cur.eng.Close()
+		s.cur.sys.Close()
 	} else {
 		s.cur.sink.hi.Store(boundary)
 		s.old = s.cur
@@ -200,7 +200,7 @@ func (s *Server) ctlApplicable() *ctlError {
 	if s.old != nil {
 		return ctlErrf(http.StatusConflict, "previous workload change still draining; retry after its boundary closes")
 	}
-	if !s.cur.uniform {
+	if s.cur.sys.Segments() > 1 {
 		return ctlErrf(http.StatusConflict, "live registration requires a uniform workload (same window, grouping, predicates)")
 	}
 	return nil
@@ -230,7 +230,7 @@ func (s *Server) applyCtl(req *ctlReq) {
 		fail(ctlErrf(http.StatusBadRequest, "optimize: %v", err))
 		return
 	}
-	oldPlan, oldW := s.cur.plan, workloadOf(s.cur.entries)
+	oldPlan, oldW := s.cur.sys.Plan(), workloadOf(s.cur.entries)
 	boundary, next, ce := s.buildNextWorkload(entries, rates, plan)
 	if ce != nil {
 		fail(ce)
@@ -243,7 +243,7 @@ func (s *Server) applyCtl(req *ctlReq) {
 		rec := persist.CtlRecord{Add: req.add, Remove: req.remove, AssignedIDs: assigned, Plan: plan}
 		seq, werr := s.wal.Append(persist.RecCtl, persist.EncodeCtlRecord(rec))
 		if werr != nil {
-			next.eng.Close()
+			next.sys.Close()
 			s.fail(werr)
 			fail(ctlErrf(http.StatusInternalServerError, "wal: %v", werr))
 			return
@@ -254,10 +254,10 @@ func (s *Server) applyCtl(req *ctlReq) {
 	reply(http.StatusOK, map[string]any{
 		"queries":              s.queryList(),
 		"plan":                 s.loadView().plan,
-		"plan_diff":            s.diffPlans(oldPlan, oldW, next.plan, newW),
+		"plan_diff":            s.diffPlans(oldPlan, oldW, next.sys.Plan(), newW),
 		"migrations":           s.migrations.Load(),
 		"boundary_window":      boundary,
-		"boundary_start_tick":  s.cur.win.Start(boundary),
+		"boundary_start_tick":  s.cur.entries[0].Q.Window.Start(boundary),
 		"draining_old_windows": s.old != nil,
 	})
 }

@@ -45,10 +45,13 @@ type Config struct {
 	// sharon.Options.Parallelism; 1 = sequential, the default here —
 	// deterministic push order across live workload changes).
 	Parallelism int
-	// Dynamic backs uniform workloads with a DynamicSystem, which also
-	// re-optimizes the plan when measured event rates drift mid-stream.
+	// Dynamic runs the workload on the dynamic runtime
+	// (sharon.Options.Dynamic), which re-optimizes the plan when measured
+	// event rates drift mid-stream. It needs a uniform workload (same
+	// window, grouping and predicates): New fails on one that splits
+	// into segments.
 	Dynamic bool
-	// Adaptive switches the dynamic system to per-burst share-vs-split
+	// Adaptive switches the dynamic runtime to per-burst share-vs-split
 	// decisions (sharon.DynamicOptions.Adaptive); implies Dynamic. The
 	// detector state and transition counters surface on /metrics.
 	Adaptive bool
@@ -117,6 +120,10 @@ type Config struct {
 	// recoveryGate, when non-nil, stalls the pump before WAL replay
 	// until the channel yields (tests observe the recovering state).
 	recoveryGate chan struct{}
+	// checkpointGate, when non-nil, admits one periodic checkpoint per
+	// value received and holds the others back (tests force a WAL tail
+	// behind the last checkpoint).
+	checkpointGate chan struct{}
 }
 
 func (c *Config) fill() {
@@ -386,14 +393,14 @@ func (s *Server) publishView() {
 	v := &workloadView{
 		entries: append([]queryEntry(nil), s.cur.entries...),
 		queries: make(map[int]*sharon.Query, len(s.cur.entries)),
-		uniform: s.cur.uniform,
-		score:   s.cur.score,
+		uniform: s.cur.sys.Segments() == 1,
+		score:   s.cur.sys.PlanScore(),
 	}
 	for _, e := range s.cur.entries {
 		v.queries[e.ID] = e.Q
 	}
-	if s.cur.plan != nil {
-		v.plan = s.cur.plan.Format(s.reg, workloadOf(s.cur.entries))
+	if plan := s.cur.sys.Plan(); plan != nil {
+		v.plan = plan.Format(s.reg, workloadOf(s.cur.entries))
 	}
 	s.view.Store(v)
 
@@ -549,12 +556,12 @@ func (s *Server) punctuate() {
 		return
 	}
 	if s.old != nil {
-		if err := s.old.eng.Quiesce(); err != nil {
+		if err := s.old.sys.Quiesce(); err != nil {
 			s.fail(err)
 			return
 		}
 	}
-	if err := s.cur.eng.Quiesce(); err != nil {
+	if err := s.cur.sys.Quiesce(); err != nil {
 		s.fail(err)
 		return
 	}
@@ -593,9 +600,9 @@ func (s *Server) applyBatch(events []sharon.Event, wm int64) {
 		// the boundary, so a watermark straddling a migration must emit
 		// them before the current system's.
 		if s.old != nil {
-			s.old.eng.AdvanceWatermark(wm)
+			s.old.sys.AdvanceWatermark(wm)
 		}
-		s.cur.eng.AdvanceWatermark(wm)
+		s.cur.sys.AdvanceWatermark(wm)
 	}
 	s.completeHandoff()
 	s.publishEngineStats(false)
@@ -605,11 +612,11 @@ func (s *Server) applyBatch(events []sharon.Event, wm int64) {
 // system and — during a live workload change — the draining one.
 func (s *Server) feed(events []sharon.Event) error {
 	if s.old != nil {
-		if err := s.old.eng.FeedBatch(events); err != nil {
+		if err := s.old.sys.FeedBatch(events); err != nil {
 			return err
 		}
 	}
-	return s.cur.eng.FeedBatch(events)
+	return s.cur.sys.FeedBatch(events)
 }
 
 // clampWatermarkFrom bounds a requested watermark to the given stream
@@ -636,13 +643,13 @@ func (s *Server) clampWatermarkFrom(base, wm int64) int64 {
 // its last owned window ([.., boundary-1]); Flush emits those windows
 // through its capped sink, never the boundary or later.
 func (s *Server) completeHandoff() {
-	if s.old == nil || s.wmState < s.old.win.End(s.oldBoundary-1) {
+	if s.old == nil || s.wmState < s.old.entries[0].Q.Window.End(s.oldBoundary-1) {
 		return
 	}
-	if err := s.old.eng.Flush(); err != nil {
+	if err := s.old.sys.Flush(); err != nil {
 		s.fail(err)
 	}
-	s.old.eng.Close()
+	s.old.sys.Close()
 	s.old = nil
 }
 
@@ -657,15 +664,13 @@ func (s *Server) publishEngineStats(force bool) {
 		return
 	}
 	s.lastStatsAt = time.Now()
-	s.peakStates.Store(s.cur.eng.PeakMemoryStates())
-	s.groupsLive.Store(s.cur.eng.GroupCount())
-	s.parStats.Store(metrics.WireParallelStats(s.cur.eng.ParallelStats()))
-	if s.cur.dyn != nil {
-		// Safe here: publishEngineStats runs on the pump goroutine, which
-		// owns the sequential executor (the parallel path reports 0 until
-		// drained, like PeakMemoryStates).
-		s.prunedStarts.Store(s.cur.dyn.PrunedStarts())
-	}
+	s.peakStates.Store(s.cur.sys.PeakMemoryStates())
+	s.groupsLive.Store(s.cur.sys.GroupCount())
+	s.parStats.Store(metrics.WireParallelStats(s.cur.sys.ParallelStats()))
+	// Safe here: publishEngineStats runs on the pump goroutine, which
+	// owns the sequential executor (the parallel path reports 0 until
+	// drained, like PeakMemoryStates).
+	s.prunedStarts.Store(s.cur.sys.PrunedStarts())
 }
 
 // fail records an engine error. The late filter makes ordering errors
@@ -691,25 +696,25 @@ func (s *Server) finish() {
 		}
 		s.publishDurabilityStats()
 		if s.old != nil {
-			s.old.eng.Close()
+			s.old.sys.Close()
 			s.old = nil
 		}
-		s.cur.eng.Close()
+		s.cur.sys.Close()
 		s.hub.Shutdown()
 		s.log.Info("drained (durable)", "events", s.ingested.Load(), "results", s.emitted.Load(), "wal_seq", s.appliedSeq)
 		return
 	}
 	if s.old != nil {
-		if err := s.old.eng.Flush(); err != nil {
+		if err := s.old.sys.Flush(); err != nil {
 			s.fail(err)
 		}
-		s.old.eng.Close()
+		s.old.sys.Close()
 		s.old = nil
 	}
-	if err := s.cur.eng.Flush(); err != nil {
+	if err := s.cur.sys.Flush(); err != nil {
 		s.fail(err)
 	}
-	s.cur.eng.Close()
+	s.cur.sys.Close()
 	s.publishEngineStats(true)
 	s.hub.Shutdown()
 	s.log.Info("drained", "events", s.ingested.Load(), "results", s.emitted.Load())

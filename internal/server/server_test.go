@@ -270,13 +270,22 @@ func TestLoopbackEquivalence(t *testing.T) {
 	// Final watermark: the end of the last window containing an event
 	// (WITHIN 4s SLIDE 1s at 1000 ticks/s).
 	finalWM := (last/1000)*1000 + 4000
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+	for _, tc := range []struct {
+		par      int
+		adaptive bool
+	}{{1, false}, {4, false}, {1, true}, {4, true}} {
+		par, name := tc.par, fmt.Sprintf("parallelism=%d", tc.par)
+		if tc.adaptive {
+			name = "adaptive," + name
+		}
+		t.Run(name, func(t *testing.T) {
+			// The reference is always the static system: the adaptive
+			// runtime must push the identical stream.
 			want := inProcessReference(t, testQueries, raw, finalWM, par)
 			if len(want) == 0 {
 				t.Fatal("reference produced no results")
 			}
-			_, ts := newTestServer(t, Config{Queries: testQueries, Parallelism: par})
+			_, ts := newTestServer(t, Config{Queries: testQueries, Parallelism: par, Adaptive: tc.adaptive})
 			sub := subscribeSSE(t, ts.URL, "")
 
 			// First half in uneven batches, crossing window closes.

@@ -454,14 +454,21 @@ func TestSubscribeHeaders(t *testing.T) {
 	// Age out seq 0 on a server with a tiny retained log (no live
 	// subscribers — a retain of 8 overruns any open stream during the
 	// burst), then assert the 410 carries the recovery cursor.
+	// Wait for the run's last result, not just an overflow: while
+	// emission continues the log keeps moving and can age out the
+	// recovery cursor before it is used.
 	_, ts2 := newTestServer(t, Config{Queries: testQueries, ReplayBuffer: 8})
 	driveWorkload(t, ts2.URL, raw)
+	total := int64(len(inProcessReference(t, testQueries, raw, (raw[len(raw)-1].Time/1000)*1000+4000, 1)))
+	if total <= 16 {
+		t.Fatalf("run emits %d results, too few to overflow the log", total)
+	}
 	waitFor(t, "ring overflow", func() bool {
 		_, body := doReq(t, "GET", ts2.URL+"/metrics", "")
 		var st struct {
 			ResultsEmitted int64 `json:"results_emitted"`
 		}
-		return json.Unmarshal([]byte(body), &st) == nil && st.ResultsEmitted > 16
+		return json.Unmarshal([]byte(body), &st) == nil && st.ResultsEmitted == total
 	})
 	req, _ := http.NewRequest("GET", ts2.URL+"/subscribe?after=0", nil)
 	resp, err := http.DefaultClient.Do(req)

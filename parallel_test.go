@@ -150,7 +150,7 @@ func TestParallelPartitionedSystem(t *testing.T) {
 	types := []sharon.Type{reg.Lookup("A"), reg.Lookup("B"), reg.Lookup("C")}
 	stream := gen.StreamForWorkload(types, 3, 4000, 6, 400, 1, 9)
 
-	seq, err := sharon.NewPartitionedSystem(w, sharon.Options{Parallelism: 1})
+	seq, err := sharon.NewSystem(w, sharon.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestParallelPartitionedSystem(t *testing.T) {
 		t.Fatal("sequential partitioned system produced no results")
 	}
 
-	sys, err := sharon.NewPartitionedSystem(w, sharon.Options{Parallelism: 3})
+	sys, err := sharon.NewSystem(w, sharon.Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestParallelDynamicSystem(t *testing.T) {
 	w, stream := genGrouped(t, 4, 5000, 8)
 	rates := sharon.MeasureRates(stream[:500], w)
 
-	seq, err := sharon.NewDynamicSystem(w, rates, sharon.DynamicOptions{DriftThreshold: 0.3, Parallelism: 1})
+	seq, err := sharon.NewSystem(w, sharon.Options{Rates: rates, Parallelism: 1, Dynamic: &sharon.DynamicOptions{DriftThreshold: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,10 @@ func TestParallelDynamicSystem(t *testing.T) {
 	}
 
 	var migrations int
-	sys, err := sharon.NewDynamicSystem(w, rates, sharon.DynamicOptions{
+	sys, err := sharon.NewSystem(w, sharon.Options{Rates: rates, Parallelism: 4, Dynamic: &sharon.DynamicOptions{
 		DriftThreshold: 0.3,
-		Parallelism:    4,
 		OnMigrate:      func(at int64, old, new sharon.Plan) { migrations++ },
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,11 @@
 // NewSystem runs the static optimizer — sharable pattern detection
 // (modified CCSpan), the benefit model, the Sharon graph, GWMIN-bound
 // reduction, and the optimal plan finder — and instantiates the shared
-// online executor for the chosen plan. Baseline executors (A-Seq,
-// Flink-style two-step, SPASS) are exposed for comparison via Strategy.
+// online executor for the chosen plan. A workload whose queries differ in
+// window, grouping or predicates runs as uniform segments (paper §7.2),
+// and Options.Dynamic re-plans at runtime as rates drift (§7.4). Baseline
+// executors (A-Seq, Flink-style two-step, SPASS) are exposed for
+// comparison via Strategy.
 package sharon
 
 import (
@@ -125,6 +128,7 @@ type Options struct {
 	// types. Use MeasureRates on a stream sample for realistic plans.
 	Rates Rates
 	// Plan, when non-nil, bypasses the optimizer and executes this plan.
+	// It applies to a uniform workload only.
 	Plan Plan
 	// OnResult receives every aggregate as it is emitted, in the
 	// deterministic (window end, query ID, group) order, as each window
@@ -137,7 +141,8 @@ type Options struct {
 	// EmitEmpty also emits zero results for windows without matches.
 	EmitEmpty bool
 	// OptimizerBudget bounds the plan search; on expiry the best plan
-	// found so far (at least GWMIN's) is used. Default 10s.
+	// found so far (at least GWMIN's) is used. Default 10s; under
+	// Dynamic it bounds each re-optimization (default 2s there).
 	OptimizerBudget time.Duration
 	// Parallelism selects the number of shard workers for the online
 	// executors (StrategySharon, StrategyGreedy, StrategyNonShared).
@@ -148,13 +153,21 @@ type Options struct {
 	// workers for grouped workloads without an OnResult callback, the
 	// sequential path otherwise (ungrouped workloads have a single group
 	// and cannot shard by key, and auto never changes where an existing
-	// OnResult callback runs); 1 = always sequential. For
-	// PartitionedSystem, auto shards by segment regardless of grouping.
-	// The comparison baselines (TwoStep, SPASS, SASE) always run
-	// sequentially. With Parallelism > 1, OnResult is invoked from a
-	// merge goroutine rather than from inside Process — the callback
-	// must not share unsynchronized state with the feeding loop.
+	// OnResult callback runs); 1 = always sequential. A workload split
+	// into segments shards by segment instead, regardless of grouping.
+	// Under Dynamic each shard runs its own rate monitor and migrates
+	// independently (results are plan-invariant). The comparison
+	// baselines (TwoStep, SPASS, SASE) always run sequentially. With
+	// Parallelism > 1, OnResult is invoked from a merge goroutine rather
+	// than from inside Process — the callback must not share
+	// unsynchronized state with the feeding loop.
 	Parallelism int
+	// Dynamic, when non-nil, runs the workload on the dynamic runtime
+	// (paper §7.4): it monitors event rates and migrates between sharing
+	// plans at runtime. It requires a uniform workload, StrategySharon
+	// and no fixed Plan; the initial plan is optimized for Rates (the
+	// adaptive mode starts split instead).
+	Dynamic *DynamicOptions
 }
 
 // resolveParallelism maps Options.Parallelism to a worker count. An
@@ -176,54 +189,27 @@ func resolveParallelism(p int, grouped, callback bool) int {
 	}
 }
 
-// stopParallel tears down a parallel executor without emitting partial
-// windows; sequential executors hold no goroutines and need no teardown.
-func stopParallel(ex exec.Executor) {
-	if p, ok := ex.(*exec.Parallel); ok {
-		p.Stop()
-	}
-}
-
-// reclaimOnDrop arranges for an abandoned parallel run to be torn down
-// when its owning system is garbage collected, so dropping a system
-// without Flush/Close (always safe sequentially) cannot leak worker
-// goroutines. It is a backstop: Flush or Close remains the correct way
-// to end a run. The GC may see the owner as unreachable while its last
-// method call is still executing, so every public method that touches
-// the executor pins the owner with runtime.KeepAlive — without it the
-// cleanup's Stop races the in-flight Flush's own teardown.
-func reclaimOnDrop[T any](owner *T, ex exec.Executor) {
-	if p, ok := ex.(*exec.Parallel); ok {
-		runtime.AddCleanup(owner, func(p *exec.Parallel) { p.Stop() }, p)
-	}
-}
-
-// parallelStats snapshots a parallel executor's counters; the zero
-// value for sequential executors.
-func parallelStats(ex exec.Executor) ParallelStats {
-	if p, ok := ex.(*exec.Parallel); ok {
-		return p.Stats()
-	}
-	return ParallelStats{}
-}
-
-// collectedResults reads back an executor's collected results.
-func collectedResults(ex exec.Executor, collect bool) []Result {
-	type collector interface{ Results() []Result }
-	if c, ok := ex.(collector); ok && collect {
-		return c.Results()
-	}
-	return nil
-}
-
-// System is a compiled workload: an optimizer-chosen sharing plan and a
-// running executor.
+// System is a compiled workload running on one executor, chosen by
+// NewSystem from its inputs: the shared online engine under an
+// optimizer-chosen plan for a uniform workload, one engine per uniform
+// segment otherwise (paper §7.2), or the dynamic runtime (§7.4) under
+// Options.Dynamic. Each may be sharded across worker goroutines.
+//
+// A parallel run (Parallelism != 1) must end with Flush or Close.
+// Dropping it otherwise is a backstop only: the workers are reclaimed
+// when the System is garbage collected. The GC may see the System as
+// unreachable while its last method call is still executing, so every
+// method that drives the executor pins it with runtime.KeepAlive.
 type System struct {
 	workload Workload
-	plan     Plan
+	plan     Plan // the static plan; the initial plan under Dynamic
 	score    float64
 	executor exec.Executor
-	collect  bool
+	segments int
+	// dyn holds the dynamic runtime's executors: the sequential one, or
+	// one per shard (worker-owned until the parallel run is flushed).
+	dyn     []*exec.Dynamic
+	collect bool
 }
 
 // MeasureRates computes per-type rates from a stream sample, normalized
@@ -246,7 +232,11 @@ func MeasureRates(sample Stream, w Workload) Rates {
 	return rates
 }
 
-// NewSystem optimizes the workload and builds its executor.
+// NewSystem optimizes the workload and builds its executor. A workload
+// whose queries differ in window, grouping or predicates is split into
+// uniform segments, each optimized and executed by its own engine: within
+// a segment Sharon shares as usual, across segments nothing is shared.
+// Queries keep their global IDs in results.
 func NewSystem(w Workload, opts Options) (*System, error) {
 	if len(w) == 0 {
 		return nil, fmt.Errorf("sharon: empty workload")
@@ -254,94 +244,156 @@ func NewSystem(w Workload, opts Options) (*System, error) {
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("sharon: %w", err)
 	}
-	rates := opts.Rates
-	if rates == nil {
-		rates = Rates{}
-		for t := range w.Types() {
-			rates[t] = 1
-		}
+	uniform := w.Uniform()
+	switch {
+	case opts.Dynamic != nil && !uniform:
+		return nil, fmt.Errorf("sharon: Options.Dynamic needs a uniform workload (same window, grouping and predicates)")
+	case opts.Dynamic != nil && opts.Plan != nil:
+		return nil, fmt.Errorf("sharon: Options.Dynamic chooses plans at runtime and cannot run a fixed Options.Plan")
+	case opts.Dynamic != nil && opts.Strategy != StrategySharon:
+		return nil, fmt.Errorf("sharon: Options.Dynamic runs the Sharon optimizer only, not Strategy %d", opts.Strategy)
+	case !uniform && opts.Plan != nil:
+		return nil, fmt.Errorf("sharon: Options.Plan applies to a uniform workload; this one splits into segments")
+	case !uniform && opts.Strategy > StrategyNonShared:
+		return nil, fmt.Errorf("sharon: a workload split into segments runs online strategies only")
+	}
+	sys := &System{workload: w, segments: 1, collect: opts.OnResult == nil}
+	execOpts := exec.Options{OnResult: opts.OnResult, Collect: sys.collect, EmitEmpty: opts.EmitEmpty}
+	var err error
+	switch {
+	case opts.Dynamic != nil:
+		err = sys.buildDynamic(opts, execOpts)
+	case !uniform:
+		err = sys.buildSegments(opts, execOpts)
+	default:
+		err = sys.buildStatic(opts, execOpts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p, ok := sys.executor.(*exec.Parallel); ok {
+		runtime.AddCleanup(sys, func(p *exec.Parallel) { p.Stop() }, p)
+	}
+	return sys, nil
+}
+
+// optimizerOptions maps the options onto one optimizer run.
+func (opts Options) optimizerOptions() core.OptimizerOptions {
+	strat := core.StrategyNone
+	switch opts.Strategy {
+	case StrategySharon:
+		strat = core.StrategySharon
+	case StrategyGreedy:
+		strat = core.StrategyGreedy
 	}
 	budget := opts.OptimizerBudget
 	if budget == 0 {
 		budget = 10 * time.Second
 	}
+	return core.OptimizerOptions{Strategy: strat, Expand: strat == core.StrategySharon, Budget: budget}
+}
 
-	sys := &System{workload: w, collect: opts.OnResult == nil}
-	execOpts := exec.Options{
-		OnResult:  opts.OnResult,
-		Collect:   sys.collect,
-		EmitEmpty: opts.EmitEmpty,
+// rates returns Options.Rates, or uniform rates over w's types when nil.
+func (opts Options) rates(w Workload) Rates {
+	if opts.Rates != nil {
+		return opts.Rates
 	}
+	rates := Rates{}
+	for t := range w.Types() {
+		rates[t] = 1
+	}
+	return rates
+}
 
-	plan := opts.Plan
-	if plan == nil {
-		var strat core.Strategy
-		switch opts.Strategy {
-		case StrategySharon:
-			strat = core.StrategySharon
-		case StrategyGreedy:
-			strat = core.StrategyGreedy
-		default:
-			strat = core.StrategyNone
-		}
-		res, err := core.Optimize(w, rates, core.OptimizerOptions{
-			Strategy: strat,
-			Expand:   strat == core.StrategySharon,
-			Budget:   budget,
-		})
+// buildStatic builds a uniform workload's executor under the supplied or
+// optimizer-chosen plan.
+func (s *System) buildStatic(opts Options, execOpts exec.Options) error {
+	w := s.workload
+	s.plan = opts.Plan
+	if s.plan == nil {
+		res, err := core.Optimize(w, opts.rates(w), opts.optimizerOptions())
 		if err != nil {
-			return nil, fmt.Errorf("sharon: optimize: %w", err)
+			return fmt.Errorf("sharon: optimize: %w", err)
 		}
-		plan = res.Plan
-		sys.score = res.Score
+		s.plan, s.score = res.Plan, res.Score
 	}
-	sys.plan = plan
-
 	workers := resolveParallelism(opts.Parallelism, w[0].GroupBy, opts.OnResult != nil)
+	plan := s.plan
 	var err error
 	switch opts.Strategy {
 	case StrategyTwoStep:
-		sys.executor, err = exec.NewTwoStep(w, execOpts)
+		s.executor, err = exec.NewTwoStep(w, execOpts)
 	case StrategySASE:
-		sys.executor, err = exec.NewSASE(w, execOpts)
+		s.executor, err = exec.NewSASE(w, execOpts)
 	case StrategySPASS:
-		sys.executor, err = exec.NewSPASS(w, plan, execOpts)
+		s.executor, err = exec.NewSPASS(w, plan, execOpts)
 	case StrategyNonShared:
-		if workers > 1 {
-			sys.executor, err = exec.NewParallelEngine(w, nil, workers, execOpts)
-		} else {
-			sys.executor, err = exec.NewEngine(w, nil, execOpts)
-		}
+		plan = nil
+		fallthrough
 	default:
 		if workers > 1 {
-			sys.executor, err = exec.NewParallelEngine(w, plan, workers, execOpts)
+			s.executor, err = exec.NewParallelEngine(w, plan, workers, execOpts)
 		} else {
-			sys.executor, err = exec.NewEngine(w, plan, execOpts)
+			s.executor, err = exec.NewEngine(w, plan, execOpts)
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("sharon: %w", err)
+		return fmt.Errorf("sharon: %w", err)
 	}
-	reclaimOnDrop(sys, sys.executor)
-	return sys, nil
+	return nil
 }
 
-// Plan returns the sharing plan in effect.
-func (s *System) Plan() Plan { return s.plan }
+// buildSegments optimizes each uniform segment on its own and builds one
+// engine per segment, sharded by segment when parallel.
+func (s *System) buildSegments(opts Options, execOpts exec.Options) error {
+	specs, err := exec.PlanSegments(s.workload, opts.rates(s.workload), opts.optimizerOptions())
+	if err != nil {
+		return fmt.Errorf("sharon: %w", err)
+	}
+	s.segments = len(specs)
+	// Segments shard regardless of grouping, hence grouped=true; more
+	// workers than segments would idle.
+	workers := min(resolveParallelism(opts.Parallelism, true, opts.OnResult != nil), len(specs))
+	if workers > 1 {
+		s.executor, err = exec.NewParallelPartitioned(specs, workers, execOpts)
+	} else {
+		s.executor, err = exec.NewPartitionedFromSpecs(specs, execOpts)
+	}
+	if err != nil {
+		return fmt.Errorf("sharon: %w", err)
+	}
+	return nil
+}
+
+// Plan returns the sharing plan in effect; nil for a workload split into
+// segments. Under Dynamic it is the installed plan: on the parallel path
+// shards migrate independently, so Plan reports the initial plan while
+// the run is live and shard 0's final plan after Flush.
+func (s *System) Plan() Plan {
+	if ds := s.dynamics(); ds != nil {
+		return ds[0].Plan()
+	}
+	return s.plan
+}
 
 // PlanScore returns the optimizer's estimated benefit of the plan
-// (Definition 8); zero when a plan was supplied directly.
+// (Definition 8); zero when a plan was supplied directly, for segments,
+// and under Dynamic.
 func (s *System) PlanScore() float64 { return s.score }
 
 // FormatPlan renders the plan with type names from reg.
 func (s *System) FormatPlan(reg *Registry) string {
-	return s.plan.Format(reg, s.workload)
+	return s.Plan().Format(reg, s.workload)
 }
+
+// Segments reports how many uniform segments the workload split into
+// (1 for a uniform workload).
+func (s *System) Segments() int { return s.segments }
 
 // Process feeds the next event. Events must arrive in strictly increasing
 // timestamp order.
 func (s *System) Process(e Event) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
+	defer runtime.KeepAlive(s) // see System
 	return s.executor.Process(e)
 }
 
@@ -350,19 +402,12 @@ func (s *System) Process(e Event) error {
 // event loop; the event batching itself happens inside the executor on
 // both entry points, so Process-in-a-loop delivers the same batches.
 func (s *System) FeedBatch(events []Event) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return feedBatch(s.executor, events)
-}
-
-// feedBatch routes a batch through an executor's own FeedBatch when it
-// has one, falling back to per-event Process.
-func feedBatch(ex exec.Executor, events []Event) error {
-	type batcher interface{ FeedBatch([]Event) error }
-	if b, ok := ex.(batcher); ok {
+	defer runtime.KeepAlive(s) // see System
+	if b, ok := s.executor.(interface{ FeedBatch([]Event) error }); ok {
 		return b.FeedBatch(events)
 	}
 	for _, e := range events {
-		if err := ex.Process(e); err != nil {
+		if err := s.executor.Process(e); err != nil {
 			return err
 		}
 	}
@@ -372,9 +417,9 @@ func feedBatch(ex exec.Executor, events []Event) error {
 // ProcessAll replays a whole stream and flushes. On a feed error the
 // run is stopped without emitting partial windows.
 func (s *System) ProcessAll(stream Stream) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
+	defer runtime.KeepAlive(s) // see System
 	if err := s.FeedBatch(stream); err != nil {
-		stopParallel(s.executor)
+		s.Close()
 		return err
 	}
 	return s.Flush()
@@ -383,7 +428,7 @@ func (s *System) ProcessAll(stream Stream) error {
 // Flush closes every window containing events seen so far. Call at end of
 // stream.
 func (s *System) Flush() error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
+	defer runtime.KeepAlive(s) // see System
 	return s.executor.Flush()
 }
 
@@ -396,29 +441,25 @@ func (s *System) Flush() error {
 // Flush remains the terminal close of a finite stream. Subsequent events
 // at or before t are rejected as out-of-order. Calls before the first
 // event or behind the current watermark are no-ops. Supported by the
-// online executors (sequential and parallel); the comparison baselines
-// (TwoStep, SPASS, SASE) ignore it.
+// online executors (sequential and parallel, every segment, and the
+// dynamic runtime, whose rate accounting sees observed events only); the
+// comparison baselines (TwoStep, SPASS, SASE) ignore it.
 func (s *System) AdvanceWatermark(t int64) {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	advanceWatermark(s.executor, t)
-}
-
-// advanceWatermark forwards a watermark to executors that support one.
-func advanceWatermark(ex exec.Executor, t int64) {
-	type watermarked interface{ AdvanceWatermark(t int64) }
-	if w, ok := ex.(watermarked); ok {
+	defer runtime.KeepAlive(s) // see System
+	if w, ok := s.executor.(interface{ AdvanceWatermark(int64) }); ok {
 		w.AdvanceWatermark(t)
 	}
 }
 
 // Close releases the executor without emitting the windows still open.
 // A parallel run (Parallelism != 1) must end with Flush — which
-// delivers all windows — or Close: dropping an unflushed parallel
-// System leaks its worker goroutines. On the sequential path Close is a
-// no-op. Idempotent, and safe after Flush.
+// delivers all windows — or Close: see System. On the sequential path
+// Close is a no-op. Idempotent, and safe after Flush.
 func (s *System) Close() {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	stopParallel(s.executor)
+	defer runtime.KeepAlive(s) // see System
+	if p, ok := s.executor.(*exec.Parallel); ok {
+		p.Stop()
+	}
 }
 
 // Results returns the collected results, sorted by query, window, group.
@@ -428,14 +469,19 @@ func (s *System) Close() {
 // partially delivered snapshot to race with the callback. On the
 // parallel path results are available only after Flush (nil before); the
 // sequential path also exposes the results collected so far mid-run.
-func (s *System) Results() []Result { return collectedResults(s.executor, s.collect) }
+func (s *System) Results() []Result {
+	if c, ok := s.executor.(interface{ Results() []Result }); ok && s.collect {
+		return c.Results()
+	}
+	return nil
+}
 
 // ResultCount reports the number of aggregates emitted so far.
 func (s *System) ResultCount() int64 { return s.executor.ResultCount() }
 
 // PeakMemoryStates reports the executor's peak number of live aggregate
-// states (the paper's memory metric unit). On the parallel path the
-// shards' peaks are summed at Flush time (0 before).
+// states (the paper's memory metric unit), summed over segments. On the
+// parallel path the shards' peaks are summed at Flush time (0 before).
 func (s *System) PeakMemoryStates() int64 { return s.executor.PeakLiveStates() }
 
 // Value extracts a result's final numeric answer for its query.
@@ -449,11 +495,7 @@ func FindCandidates(w Workload) []Candidate { return core.FindCandidates(w) }
 // Optimize runs the Sharon optimizer alone and returns the chosen plan and
 // its score; useful for inspecting sharing decisions without executing.
 func Optimize(w Workload, rates Rates) (Plan, float64, error) {
-	res, err := core.Optimize(w, rates, core.OptimizerOptions{
-		Strategy: core.StrategySharon,
-		Expand:   true,
-		Budget:   10 * time.Second,
-	})
+	res, err := core.Optimize(w, rates, Options{}.optimizerOptions())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -461,13 +503,11 @@ func Optimize(w Workload, rates Rates) (Plan, float64, error) {
 }
 
 // Explain renders the executor's per-query decomposition (shared vs
-// private segments) when the system runs the online engine (sequential
-// or parallel); other strategies return an empty string.
+// private segments) when the system runs the static online engine
+// (sequential or parallel) on a uniform workload; otherwise it returns
+// an empty string.
 func (s *System) Explain(reg *Registry) string {
-	switch en := s.executor.(type) {
-	case *exec.Engine:
-		return en.Explain(reg)
-	case *exec.Parallel:
+	if en, ok := s.executor.(interface{ Explain(*Registry) string }); ok {
 		return en.Explain(reg)
 	}
 	return ""
@@ -476,4 +516,9 @@ func (s *System) Explain(reg *Registry) string {
 // ParallelStats reports the parallel executor's throughput and
 // shard-occupancy counters; the zero value when the system runs
 // sequentially. Elapsed/throughput fields are populated by Flush.
-func (s *System) ParallelStats() ParallelStats { return parallelStats(s.executor) }
+func (s *System) ParallelStats() ParallelStats {
+	if p, ok := s.executor.(*exec.Parallel); ok {
+		return p.Stats()
+	}
+	return ParallelStats{}
+}

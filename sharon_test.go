@@ -6,6 +6,7 @@ import (
 
 	sharon "github.com/sharon-project/sharon"
 	"github.com/sharon-project/sharon/internal/agg"
+	"github.com/sharon-project/sharon/internal/exec"
 	"github.com/sharon-project/sharon/internal/gen"
 )
 
@@ -175,11 +176,79 @@ func TestSystemRejectsBadWorkloads(t *testing.T) {
 	q2 := sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(B, C) WITHIN 20s SLIDE 5s", reg)
 	w := sharon.Workload{q1, q2}
 	w.Renumber()
-	if _, err := sharon.NewSystem(w, sharon.Options{}); err == nil {
-		t.Error("mismatched windows accepted")
+	// Mismatched windows are not an error: the workload splits into
+	// segments. The configurations that cannot run segments say so.
+	sys, err := sharon.NewSystem(w, sharon.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+	if sys.Segments() != 2 {
+		t.Errorf("segments = %d, want 2", sys.Segments())
+	}
+	for name, opts := range map[string]sharon.Options{
+		"dynamic":  {Dynamic: &sharon.DynamicOptions{}},
+		"two-step": {Strategy: sharon.StrategyTwoStep},
+		"plan":     {Plan: sharon.Plan{}},
+	} {
+		if _, err := sharon.NewSystem(w, opts); err == nil {
+			t.Errorf("%s with mismatched windows accepted", name)
+		}
 	}
 	if _, err := sharon.NewSystem(nil, sharon.Options{}); err == nil {
 		t.Error("empty workload accepted")
+	}
+}
+
+// TestSystemPredicateOrder: queries listing the same predicates in a
+// different order are one uniform segment, and run sequentially and in
+// parallel to the enumeration oracle's results.
+func TestSystemPredicateOrder(t *testing.T) {
+	reg := sharon.NewRegistry()
+	w := sharon.Workload{
+		sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.val > 1 AND B.val < 5 AND [key] WITHIN 4s SLIDE 1s", reg),
+		sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B, C) WHERE B.val < 5 AND A.val > 1 AND [key] WITHIN 4s SLIDE 1s", reg),
+		sharon.MustParseQuery("RETURN SUM(C.val) PATTERN SEQ(A, B, C) WHERE [key] AND B.val < 5 AND A.val > 1 WITHIN 4s SLIDE 1s", reg),
+	}
+	w.Renumber()
+	rng := rand.New(rand.NewSource(11))
+	var stream sharon.Stream
+	for i := 0; i < 3000; i++ {
+		stream = append(stream, sharon.Event{
+			Time: int64(i+1) * 7,
+			Type: reg.Lookup(string(rune('A' + rng.Intn(3)))),
+			Key:  sharon.GroupKey(rng.Intn(4)),
+			Val:  float64(rng.Intn(8)),
+		})
+	}
+	want, err := exec.Oracle(stream, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("oracle produced no results")
+	}
+	for _, par := range []int{1, 2} {
+		sys, err := sharon.NewSystem(w, sharon.Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if sys.Segments() != 1 {
+			t.Fatalf("parallelism %d: segments = %d, want 1", par, sys.Segments())
+		}
+		if err := sys.ProcessAll(stream); err != nil {
+			t.Fatal(err)
+		}
+		got := sys.Results()
+		if len(got) != len(want) {
+			t.Fatalf("parallelism %d: %d results, oracle %d", par, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Query != want[i].Query || got[i].Win != want[i].Win || got[i].Group != want[i].Group || !agg.ApproxEqual(got[i].State, want[i].State) {
+				t.Fatalf("parallelism %d: result %d = %+v, oracle %+v", par, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -220,10 +289,10 @@ func TestDynamicSystemPublic(t *testing.T) {
 		stream = append(stream, sharon.Event{Time: int64(i+1) * 20, Type: reg.Lookup(name)})
 	}
 	var migrations int
-	sys, err := sharon.NewDynamicSystem(w, sharon.MeasureRates(stream[:300], w), sharon.DynamicOptions{
+	sys, err := sharon.NewSystem(w, sharon.Options{Rates: sharon.MeasureRates(stream[:300], w), Dynamic: &sharon.DynamicOptions{
 		DriftThreshold: 0.3,
 		OnMigrate:      func(at int64, old, new sharon.Plan) { migrations++ },
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +322,15 @@ func TestDynamicSystemPublic(t *testing.T) {
 	for i := range want {
 		if want[i].Query != got[i].Query || want[i].Win != got[i].Win || !agg.ApproxEqual(want[i].State, got[i].State) {
 			t.Fatalf("result %d: dynamic %+v != static %+v", i, got[i], want[i])
+		}
+	}
+	// The dynamic runtime plans for itself with the Sharon optimizer.
+	for name, opts := range map[string]sharon.Options{
+		"plan":   {Plan: sharon.Plan{}, Dynamic: &sharon.DynamicOptions{}},
+		"greedy": {Strategy: sharon.StrategyGreedy, Dynamic: &sharon.DynamicOptions{}},
+	} {
+		if _, err := sharon.NewSystem(w, opts); err == nil {
+			t.Errorf("dynamic with %s accepted", name)
 		}
 	}
 }
@@ -294,7 +372,7 @@ func TestPartitionedSystemPublic(t *testing.T) {
 		sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.val > 50 WITHIN 4s SLIDE 2s", reg),
 	}
 	w.Renumber()
-	sys, err := sharon.NewPartitionedSystem(w, sharon.Options{})
+	sys, err := sharon.NewSystem(w, sharon.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +413,5 @@ func TestPartitionedSystemPublic(t *testing.T) {
 	}
 	if sys.PeakMemoryStates() <= 0 {
 		t.Error("no memory accounted")
-	}
-	// Rejects two-step strategies.
-	if _, err := sharon.NewPartitionedSystem(w, sharon.Options{Strategy: sharon.StrategyTwoStep}); err == nil {
-		t.Error("two-step partitioned accepted")
 	}
 }

@@ -94,72 +94,59 @@ func TestSinkDeterministicOrder(t *testing.T) {
 
 // TestResultsWithSinkContract pins the Results()/sink duality: a system
 // with an attached OnResult sink never retains results — Results()
-// returns nil before and after Flush, on every system kind, while
+// returns nil before and after Flush, in every configuration, while
 // ResultCount still reports the delivered total. The sink is the single
 // consumer; there is no snapshot racing with the callback.
 func TestResultsWithSinkContract(t *testing.T) {
 	w, stream := genGrouped(t, 4, 3000, 8)
 	rates := sharon.MeasureRates(stream, w)
 
-	check := func(t *testing.T, name string, sys interface {
-		ProcessAll(sharon.Stream) error
-		Results() []sharon.Result
-		ResultCount() int64
-	}, delivered *int64) {
-		t.Helper()
-		if got := sys.Results(); got != nil {
-			t.Fatalf("%s: Results() before feed = %d results, want nil", name, len(got))
-		}
-		if err := sys.ProcessAll(stream); err != nil {
-			t.Fatal(err)
-		}
-		if got := sys.Results(); got != nil {
-			t.Fatalf("%s: Results() with sink attached = %d results, want nil", name, len(got))
-		}
-		if *delivered == 0 {
-			t.Fatalf("%s: sink received no results", name)
-		}
-		if sys.ResultCount() != *delivered {
-			t.Fatalf("%s: ResultCount() = %d, sink received %d", name, sys.ResultCount(), *delivered)
-		}
+	// A second copy of the workload under another window makes it
+	// non-uniform, so the "partitioned" row runs segments.
+	segmented := append(sharon.Workload(nil), w...)
+	for _, q := range w {
+		c := *q
+		c.ID += len(w)
+		c.Window.Length *= 2
+		segmented = append(segmented, &c)
 	}
-
-	t.Run("system-sequential", func(t *testing.T) {
-		var n int64
-		sys, err := sharon.NewSystem(w, sharon.Options{Rates: rates, Parallelism: 1,
-			OnResult: func(sharon.Result) { n++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "System(seq)", sys, &n)
-	})
-	t.Run("system-parallel", func(t *testing.T) {
-		var n int64 // callback runs on the merge goroutine, read after Flush
-		sys, err := sharon.NewSystem(w, sharon.Options{Rates: rates, Parallelism: 4,
-			OnResult: func(sharon.Result) { n++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "System(par)", sys, &n)
-	})
-	t.Run("partitioned", func(t *testing.T) {
-		var n int64
-		sys, err := sharon.NewPartitionedSystem(w, sharon.Options{Rates: rates, Parallelism: 1,
-			OnResult: func(sharon.Result) { n++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "PartitionedSystem", sys, &n)
-	})
-	t.Run("dynamic", func(t *testing.T) {
-		var n int64
-		sys, err := sharon.NewDynamicSystem(w, rates, sharon.DynamicOptions{Parallelism: 1,
-			OnResult: func(sharon.Result) { n++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "DynamicSystem", sys, &n)
-	})
+	for _, tc := range []struct {
+		name string
+		w    sharon.Workload
+		opts sharon.Options
+	}{
+		{"system-sequential", w, sharon.Options{Parallelism: 1}},
+		// The callback runs on the merge goroutine; n is read after Flush.
+		{"system-parallel", w, sharon.Options{Parallelism: 4}},
+		{"partitioned", segmented, sharon.Options{Parallelism: 1}},
+		{"dynamic", w, sharon.Options{Parallelism: 1, Dynamic: &sharon.DynamicOptions{}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var n int64
+			opts := tc.opts
+			opts.Rates = rates
+			opts.OnResult = func(sharon.Result) { n++ }
+			sys, err := sharon.NewSystem(tc.w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.Results(); got != nil {
+				t.Fatalf("Results() before feed = %d results, want nil", len(got))
+			}
+			if err := sys.ProcessAll(stream); err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.Results(); got != nil {
+				t.Fatalf("Results() with sink attached = %d results, want nil", len(got))
+			}
+			if n == 0 {
+				t.Fatal("sink received no results")
+			}
+			if sys.ResultCount() != n {
+				t.Fatalf("ResultCount() = %d, sink received %d", sys.ResultCount(), n)
+			}
+		})
+	}
 }
 
 // waitForCount polls an atomic-ish counter until it reaches want; the

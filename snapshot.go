@@ -27,74 +27,29 @@ import (
 // detected and returned as errors rather than corrupting state.
 type StateSnapshot = exec.SystemSnapshot
 
-// Snapshot captures the system's runtime state for checkpointing.
+// Snapshot captures the system's runtime state for checkpointing: under
+// Dynamic it includes the installed plan, the rate-drift counters, and a
+// mid-migration draining engine, so a restored run migrates exactly where
+// the original would. The comparison baselines do not checkpoint.
 func (s *System) Snapshot() (*StateSnapshot, error) {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return snapshotExecutor(s.executor)
+	defer runtime.KeepAlive(s) // see System
+	switch e := s.executor.(type) {
+	case *exec.Parallel:
+		return e.Snapshot()
+	case interface{ Snapshot() *StateSnapshot }:
+		return e.Snapshot(), nil
+	}
+	return nil, fmt.Errorf("sharon: %s executor does not support snapshots", s.executor.Name())
 }
 
 // Restore loads a snapshot produced by an equivalent system's Snapshot.
 func (s *System) Restore(snap *StateSnapshot) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return restoreExecutor(s.executor, snap)
-}
-
-// Snapshot captures the partitioned system's runtime state.
-func (s *PartitionedSystem) Snapshot() (*StateSnapshot, error) {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return snapshotExecutor(s.executor)
-}
-
-// Restore loads a snapshot produced by an equivalent partitioned system.
-func (s *PartitionedSystem) Restore(snap *StateSnapshot) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return restoreExecutor(s.executor, snap)
-}
-
-// Snapshot captures the dynamic system's runtime state, including the
-// installed plan, the rate-drift counters, and a mid-migration draining
-// engine, so a restored run migrates exactly where the original would.
-func (s *DynamicSystem) Snapshot() (*StateSnapshot, error) {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return snapshotExecutor(s.executor)
-}
-
-// Restore loads a snapshot produced by an equivalent dynamic system.
-func (s *DynamicSystem) Restore(snap *StateSnapshot) error {
-	defer runtime.KeepAlive(s) // see reclaimOnDrop
-	return restoreExecutor(s.executor, snap)
-}
-
-// snapshotExecutor dispatches Snapshot across the executor kinds that
-// support durability (the online engines; the comparison baselines are
-// measurement-only and do not checkpoint).
-func snapshotExecutor(ex exec.Executor) (*StateSnapshot, error) {
-	switch e := ex.(type) {
-	case *exec.Engine:
-		return e.Snapshot(), nil
-	case *exec.Partitioned:
-		return e.Snapshot(), nil
-	case *exec.Dynamic:
-		return e.Snapshot(), nil
-	case *exec.Parallel:
-		return e.Snapshot()
-	}
-	return nil, fmt.Errorf("sharon: executor %T does not support snapshots", ex)
-}
-
-func restoreExecutor(ex exec.Executor, snap *StateSnapshot) error {
+	defer runtime.KeepAlive(s) // see System
 	if snap == nil {
 		return fmt.Errorf("sharon: nil snapshot")
 	}
-	switch e := ex.(type) {
-	case *exec.Engine:
-		return e.Restore(snap)
-	case *exec.Partitioned:
-		return e.Restore(snap)
-	case *exec.Dynamic:
-		return e.Restore(snap)
-	case *exec.Parallel:
+	if e, ok := s.executor.(interface{ Restore(*StateSnapshot) error }); ok {
 		return e.Restore(snap)
 	}
-	return fmt.Errorf("sharon: executor %T does not support restore", ex)
+	return fmt.Errorf("sharon: %s executor does not support restore", s.executor.Name())
 }
